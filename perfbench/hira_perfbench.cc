@@ -10,6 +10,10 @@
  * Usage:
  *   hira_perfbench --workload periodic_capacity|para_nrh|chip_characterize
  *                  --seed N
+ *   hira_perfbench --workload calibrate
+ *
+ * The calibrate mode times a fixed kernel of the benchmark's own, which
+ * run.py uses to follow the host's speed between repetitions.
  *
  * The library is driven only through the calls the figure drivers use:
  * makeMixes, SweepRunner (constructor, aloneIpc, runPoints), DramChip,
@@ -26,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -99,7 +104,7 @@ parseArgs(int argc, char **argv)
             fatal("hira_perfbench: unknown option '%s'", key.c_str());
     }
     if (a.workload != "periodic_capacity" && a.workload != "para_nrh" &&
-        a.workload != "chip_characterize") {
+        a.workload != "chip_characterize" && a.workload != "calibrate") {
         fatal("hira_perfbench: unknown workload '%s'", a.workload.c_str());
     }
     a.knobs = workloadKnobs(a.workload);
@@ -209,6 +214,85 @@ parallelFor(int threads, std::size_t n, Fn fn)
     worker();
     for (std::thread &t : pool)
         t.join();
+}
+
+// ----------------------------------------------------------------------
+// Host-speed calibration
+// ----------------------------------------------------------------------
+
+/**
+ * One thread's share of the calibration kernel: a 64-entry event heap
+ * and a 256 KB table of counters updated at pseudo-random indices, as
+ * in the simulator's event loop and bank state, plus every tenth step
+ * an update at a pseudo-random index of a 32 MB table. The simulator is
+ * partly bound by the shared last-level cache and memory, whose
+ * contention on a shared host varies from moment to moment; the large
+ * table makes the kernel feel that contention too. Returns a checksum
+ * so that the work cannot be optimized away.
+ */
+std::uint64_t
+calibrationKernel(std::vector<std::uint32_t> &big)
+{
+    constexpr std::uint64_t kSmallMask = (1u << 16) - 1;
+    constexpr long kIterations = 3000000;
+    const std::uint64_t bigMask = big.size() - 1;
+    std::vector<std::uint32_t> small(kSmallMask + 1);
+    std::vector<std::uint64_t> heap;
+    auto later = std::greater<std::uint64_t>();
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL, acc = 0;
+    auto next = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    for (int i = 0; i < 64; ++i) {
+        heap.push_back(next() & 0xffff);
+        std::push_heap(heap.begin(), heap.end(), later);
+    }
+    for (long i = 0; i < kIterations; ++i) {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        const std::uint64_t t = heap.back();
+        const std::uint64_t r = next();
+        std::uint32_t &c = small[(r ^ t) & kSmallMask];
+        if ((c & 3) == 0)
+            acc += c;
+        else
+            acc ^= t;
+        c += static_cast<std::uint32_t>(r >> 40) | 1;
+        if (i % 10 == 0)
+            acc += big[(r >> 20) & bigMask]++;
+        heap.back() = t + 1 + (r & 63);
+        std::push_heap(heap.begin(), heap.end(), later);
+    }
+    return acc + small[0];
+}
+
+/**
+ * Time the calibration kernel on @p threads threads, one identical
+ * share each, so that every share gives the same checksum on any thread
+ * count. The large tables are allocated and touched before the clock
+ * starts. The kernel's work is fixed in this file and uses no library
+ * code, so a change to the library cannot move it; run.py times it
+ * between repetitions to follow the host's speed.
+ */
+void
+runCalibration(int threads, JsonOut &out)
+{
+    std::vector<std::vector<std::uint32_t>> big(
+        threads, std::vector<std::uint32_t>(std::size_t(1) << 23));
+    std::vector<std::uint64_t> sums(threads);
+    Clock::time_point t0 = Clock::now();
+    parallelFor(threads, sums.size(), [&](std::size_t i) {
+        sums[i] = calibrationKernel(big[i]);
+    });
+    out.num("calib_s", secondsSince(t0));
+    const std::uint64_t sum = sums[0];
+    const bool same = std::all_of(sums.begin(), sums.end(),
+                                  [sum](std::uint64_t v) { return v == sum; });
+    out.str("checksum",
+            same ? strprintf("%016llx", static_cast<unsigned long long>(sum))
+                 : std::string("shares differ"));
 }
 
 // ----------------------------------------------------------------------
@@ -595,6 +679,12 @@ int
 main(int argc, char **argv)
 {
     Args args = parseArgs(argc, argv);
+    if (args.workload == "calibrate") {
+        JsonOut out;
+        runCalibration(args.knobs.threads, out);
+        std::printf("%s\n", out.object().c_str());
+        return 0;
+    }
     const bool sim = args.workload != "chip_characterize";
 
     JsonOut out;

@@ -4,7 +4,7 @@
 Run from the repository root:
 
     python3 perfbench/run.py --workload periodic_capacity --seed 1 \
-        --seconds 30 --trace 0
+        --seconds 35 --trace 0
 
 Workloads are periodic_capacity (the Fig. 9 grid), para_nrh (the Fig. 12
 grid) and chip_characterize (the Table 1 / Fig. 4-5 pipeline); see
@@ -13,8 +13,12 @@ with CMake into $CARGO_TARGET_DIR (default .bench_build).
 
 One repetition is one hira_perfbench process that submits the whole
 workload once and exits (a closed batch on nproc threads). The script
-repeats it until --seconds have passed and reports medians over the
-repetitions. --trace 0 prints the end-to-end metrics of BENCHMARK.json;
+runs one untimed warm-up repetition, then repeats it until --seconds
+have passed and reports medians over the repetitions. Between
+repetitions it times a fixed calibration kernel and reports end-to-end
+times scaled to a host that runs that kernel in CALIB_REF_S seconds, so
+that drift in the speed of a shared host moves them less.
+--trace 0 prints the end-to-end metrics of BENCHMARK.json;
 --trace 1 alternates untraced repetitions with traced ones
 (HIRA_METRICS=full, HIRA_TRACE_EVENTS=<file>) and prints the per-layer
 metrics. The last line of stdout is one JSON object:
@@ -35,6 +39,12 @@ REPO = os.path.dirname(HERE)
 
 WORKLOADS = ("periodic_capacity", "para_nrh", "chip_characterize")
 MIN_REPS = 3
+
+# The calibration kernel's typical time on the reference host (4 threads
+# on 4 vCPUs of an Intel Xeon, where the benchmark was tuned), and the
+# checksum that a complete run of the kernel gives on every host.
+CALIB_REF_S = 0.2
+CALIB_CHECKSUM = "0000831feaed60f4"
 
 
 def log(msg):
@@ -71,6 +81,18 @@ def child_env(trace_file=None):
         env["HIRA_METRICS"] = "full"
         env["HIRA_TRACE_EVENTS"] = trace_file
     return env
+
+
+def calibrate(exe):
+    """Seconds the calibration kernel takes now."""
+    out = subprocess.run([exe, "--workload", "calibrate"], env=child_env(),
+                         stdout=subprocess.PIPE, check=True).stdout
+    result = json.loads(out.decode().strip().splitlines()[-1])
+    if result["checksum"] != CALIB_CHECKSUM:
+        log("perfbench: calibration checksum %s, expected %s"
+            % (result["checksum"], CALIB_CHECKSUM))
+        sys.exit(1)
+    return result["calib_s"]
 
 
 def run_rep(exe, args, build_dir, index, traced):
@@ -143,13 +165,16 @@ def ratio(num, den):
 
 
 def end_to_end(rep):
+    """Host times of one repetition, scaled to the reference host by the
+    calibration times taken just before and after it."""
     ops = rep["sims"] if "sims" in rep else rep["tested_rows"]
+    scale = CALIB_REF_S / rep["calib_s"]
     return {
-        "wall_s": rep["wall_s"],
-        "cpu_s": rep["cpu_s"],
-        "setup_s": rep["setup_s"],
+        "wall_s": rep["wall_s"] * scale,
+        "cpu_s": rep["cpu_s"] * scale,
+        "setup_s": rep["setup_s"] * scale,
         "peak_rss_mb": rep["peak_rss_mb"],
-        "ops_per_s": ops / rep["measure_s"],
+        "ops_per_s": ops / (rep["measure_s"] * scale),
     }
 
 
@@ -296,20 +321,26 @@ def per_layer(untraced, traced, names):
             r["sim_cycles"] / r["measure_s"] / 1e6 for r in untraced)
         values["sim_mcycles_per_cpu_s"] = statistics.median(
             r["sim_cycles"] / r["busy_s"] / 1e6 for r in untraced)
+    values["bench.calib_s"] = statistics.median(
+        r["calib_s"] for r in untraced + traced)
     values["bench.trace_overhead_frac"] = (
         statistics.median(r["wall_s"] for r in traced)
         / statistics.median(r["wall_s"] for r in untraced) - 1.0)
     return {n: values.get(n, 0.0) for n in names}
 
 
-def report(args, reps, spec_metrics, values, correct, problems):
+def report(args, reps, spec_metrics, values, correct, problems,
+           attempted, failed):
     """Human-readable summary on stdout, ahead of the JSON line."""
     first = reps[0]
     print("perfbench %s  seed=%d  nproc=%d threads=%d  build=%s  rev=%s"
           % (args.workload, args.seed, first["nproc"], first["threads"],
              first["build_type"], first["git_rev"]))
-    print("knobs: %s  repetitions=%d (%d traced)"
+    print("knobs: %s  repetitions=%d (%d traced) after one warm-up"
           % (first["knobs"], len(reps), sum(r["traced"] for r in reps)))
+    print("calibration: median %.4f s, reference %.3f s; end-to-end times "
+          "are scaled by reference / calibration"
+          % (statistics.median(r["calib_s"] for r in reps), CALIB_REF_S))
     print("outputs (simulated / modelled; unvalidated model, checked "
           "not gated):")
     outputs = dict(first["outputs"])
@@ -319,8 +350,6 @@ def report(args, reps, spec_metrics, values, correct, problems):
     for label, vals in modules.items():
         print("  %-12s %s" % (label, ", ".join(
             "%s=%.4g" % kv for kv in vals.items())))
-    attempted = sum(r["attempted"] for r in reps)
-    failed = sum(r["failed"] for r in reps)
     print("digest %s   failed_frac %.4g (%d of %d operations)   "
           "checks: %s" % (first["digest"], ratio(failed, attempted), failed,
                           attempted, "PASS" if correct else "FAIL"))
@@ -336,7 +365,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--seconds", type=float, default=35)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
 
@@ -347,23 +376,36 @@ def main():
     exe = build(build_dir)
     os.makedirs(os.path.join(build_dir, "runs"), exist_ok=True)
 
-    # Untraced repetitions (alternating with traced ones under --trace 1)
-    # until the measuring time is used up.
+    # An untimed warm-up repetition, checked like the others; then
+    # untraced repetitions (alternating with traced ones under --trace 1)
+    # until the measuring time is used up. The run stops when less than
+    # half a repetition's time is left, so that it ends near the deadline.
+    warmup = run_rep(exe, args, build_dir, 0, False)
     reps = []
-    deadline = time.monotonic() + args.seconds
-    while (time.monotonic() < deadline
-           or sum(not r["traced"] for r in reps) < MIN_REPS
-           or sum(r["traced"] for r in reps) < (MIN_REPS if args.trace else 0)):
+    calib = calibrate(exe)
+    start = time.monotonic()
+    while True:
         traced = bool(args.trace) and len(reps) % 2 == 1
-        reps.append(run_rep(exe, args, build_dir, len(reps), traced))
+        rep = run_rep(exe, args, build_dir, len(reps) + 1, traced)
+        after = calibrate(exe)
+        rep["calib_s"] = 0.5 * (calib + after)
+        calib = after
+        reps.append(rep)
+        elapsed = time.monotonic() - start
+        enough = (sum(not r["traced"] for r in reps) >= MIN_REPS
+                  and sum(r["traced"] for r in reps)
+                  >= (MIN_REPS if args.trace else 0))
+        if enough and elapsed * (1 + 0.5 / len(reps)) >= args.seconds:
+            break
+    checked = [warmup] + reps
 
-    problems = [m for r in reps for m in r["failures"]]
-    digests = {r["digest"] for r in reps}
+    problems = [m for r in checked for m in r["failures"]]
+    digests = {r["digest"] for r in checked}
     if len(digests) != 1:
         problems.append("digest differs between repetitions: "
                         + " ".join(sorted(digests)))
-    attempted = sum(r["attempted"] for r in reps)
-    failed = sum(r["failed"] for r in reps)
+    attempted = sum(r["attempted"] for r in checked)
+    failed = sum(r["failed"] for r in checked)
     correct = not problems and failed == 0
 
     untraced = [r for r in reps if not r["traced"]]
@@ -376,7 +418,8 @@ def main():
         samples = [end_to_end(r) for r in untraced]
         values = {m["name"]: statistics.median(s[m["name"]] for s in samples)
                   for m in spec_metrics}
-    report(args, reps, spec_metrics, values, correct, problems)
+    report(args, reps, spec_metrics, values, correct, problems,
+           attempted, failed)
     print(json.dumps({
         "correct": correct,
         "attempted": attempted,
